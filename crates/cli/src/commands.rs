@@ -53,20 +53,19 @@ COMMANDS:
     floorplan    Run the thermal-aware floorplanner standalone
                    --modules 8 --seed 7               deterministic module/net set
                    --engine sa|ga|initial             (default: sa)
-                   --eval full|incremental            candidate evaluator (default:
-                                                      incremental Stockmeyer curves;
-                                                      results are identical)
                    --weights area|thermal             objective (default: area)
     grid         Fine-grained grid thermal validation of a schedule
                    --benchmark Bm1..Bm4 --policy ...  (default: Bm1, thermal)
                    --nx 32 --ny 32                    grid resolution
-                   --solver gauss-seidel|pcg|pcg-jacobi|cholesky (default: cholesky)
+                   --solver cholesky|gauss-seidel     (default: cholesky; gauss-seidel
+                                                      is the slow reference solver)
     batch        Run a scenario campaign through the sharded batch engine
                    --benchmarks Bm1,Bm3|all           (default: all)
                    --flows platform,cosynthesis|all   (default: platform)
                    --policies baseline,power1..3,thermal|all (default: all)
                    --seeds 0,1,2                      seed grid (0 = canonical graphs)
-                   --grid-solver cholesky|pcg|...     add fine-grid validation axis
+                   --grid-solver cholesky|gauss-seidel
+                                                      add fine-grid validation axis
                    --nx 16 --ny 16                    grid resolution for that axis
                    --shard 0/4                        run only this shard of the campaign
                    --threads 4                        worker threads (0 = all cores)
@@ -451,12 +450,9 @@ pub fn grid(options: &Options) -> Result<String, CliError> {
 }
 
 /// `tats floorplan` — run the thermal-aware floorplanner standalone over a
-/// deterministic module set, with selectable engine and candidate-evaluation
-/// strategy (`--eval full|incremental`; identical results, different speed).
+/// deterministic module set, with selectable engine and objective.
 pub fn floorplan(options: &Options) -> Result<String, CliError> {
-    use tats_floorplan::{
-        testutil, CostWeights, Engine, EvalStrategy, Floorplanner, GaConfig, SaConfig,
-    };
+    use tats_floorplan::{testutil, CostWeights, Engine, Floorplanner, GaConfig, SaConfig};
 
     let count = options.number("modules", 8.0)? as usize;
     if count == 0 {
@@ -467,17 +463,6 @@ pub fn floorplan(options: &Options) -> Result<String, CliError> {
         });
     }
     let seed = options.number("seed", 7.0)? as u64;
-    let eval = match options.value_or("eval", "incremental") {
-        "full" => EvalStrategy::Full,
-        "incremental" => EvalStrategy::Incremental,
-        other => {
-            return Err(CliError::InvalidValue {
-                option: "eval".to_string(),
-                value: other.to_string(),
-                expected: "full or incremental".to_string(),
-            })
-        }
-    };
     let weights = match options.value_or("weights", "area") {
         "area" => CostWeights::area_only(),
         "thermal" => CostWeights::thermal_aware(),
@@ -494,7 +479,6 @@ pub fn floorplan(options: &Options) -> Result<String, CliError> {
             "simulated annealing",
             Engine::Annealing(SaConfig {
                 seed,
-                eval,
                 ..SaConfig::default()
             }),
         ),
@@ -502,7 +486,6 @@ pub fn floorplan(options: &Options) -> Result<String, CliError> {
             "genetic algorithm",
             Engine::Genetic(GaConfig {
                 seed,
-                eval,
                 ..GaConfig::default()
             }),
         ),
@@ -527,11 +510,7 @@ pub fn floorplan(options: &Options) -> Result<String, CliError> {
         .map_err(execution_error)?;
     let wall_s = start.elapsed().as_secs_f64();
 
-    let eval_name = match eval {
-        EvalStrategy::Full => "full O(n) re-evaluation",
-        EvalStrategy::Incremental => "incremental shape curves",
-    };
-    let mut out = format!("Floorplanned {count} modules with {engine_name} ({eval_name})\n\n");
+    let mut out = format!("Floorplanned {count} modules with {engine_name}\n\n");
     out.push_str(&format!(
         "chip area: {:.2} mm2, wirelength: {:.2} mm, peak temperature: {:.2} C\n",
         solution.cost.area_m2 * 1e6,
@@ -1738,7 +1717,7 @@ mod tests {
 
     #[test]
     fn grid_reports_per_pe_temperatures_for_every_solver() {
-        for solver in ["gauss-seidel", "pcg", "pcg-jacobi", "cholesky"] {
+        for solver in ["gauss-seidel", "cholesky"] {
             let options = opts(
                 &[
                     "--benchmark",
@@ -1762,8 +1741,13 @@ mod tests {
 
     #[test]
     fn grid_rejects_unknown_solver() {
-        let options = opts(&["--solver", "multigrid"], &["solver"], &[]);
-        assert!(matches!(grid(&options), Err(CliError::InvalidValue { .. })));
+        for solver in ["multigrid", "pcg", "pcg-jacobi"] {
+            let options = opts(&["--solver", solver], &["solver"], &[]);
+            assert!(
+                matches!(grid(&options), Err(CliError::InvalidValue { .. })),
+                "{solver}"
+            );
+        }
     }
 
     #[test]
@@ -2396,27 +2380,24 @@ mod tests {
     }
 
     #[test]
-    fn floorplan_runs_and_both_eval_strategies_agree() {
-        const FLOORPLAN_VALUES: &[&str] = &["modules", "seed", "engine", "eval", "weights"];
-        let run = |eval: &str| {
+    fn floorplan_runs_deterministically() {
+        const FLOORPLAN_VALUES: &[&str] = &["modules", "seed", "engine", "weights"];
+        let run = || {
             floorplan(&opts(
-                &["--modules", "6", "--engine", "sa", "--eval", eval],
+                &["--modules", "6", "--engine", "sa"],
                 FLOORPLAN_VALUES,
                 &[],
             ))
             .expect("floorplan")
         };
-        let incremental = run("incremental");
-        assert!(incremental.contains("6 modules"), "{incremental}");
-        assert!(
-            incremental.contains("incremental shape curves"),
-            "{incremental}"
-        );
-        assert!(incremental.contains("weighted cost:"), "{incremental}");
-        let full = run("full");
-        // Identical solution either way: compare everything after the
-        // strategy banner — costs, dims and the candidate-evaluation count
-        // (trajectory length), dropping only the wall-clock portion.
+        let first = run();
+        assert!(first.contains("6 modules"), "{first}");
+        assert!(first.contains("simulated annealing"), "{first}");
+        assert!(first.contains("weighted cost:"), "{first}");
+        let second = run();
+        // Identical solution on every run: compare costs, dims and the
+        // candidate-evaluation count (trajectory length), dropping only the
+        // wall-clock portion.
         let tail = |text: &str| {
             text.lines()
                 .filter_map(|line| {
@@ -2430,22 +2411,30 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(tail(&incremental), tail(&full));
+        assert_eq!(tail(&first), tail(&second));
     }
 
     #[test]
     fn floorplan_rejects_bad_options() {
-        const FLOORPLAN_VALUES: &[&str] = &["modules", "seed", "engine", "eval", "weights"];
+        const FLOORPLAN_VALUES: &[&str] = &["modules", "seed", "engine", "weights"];
         for (option, value) in [
             ("--modules", "0"),
             ("--engine", "warp"),
-            ("--eval", "psychic"),
             ("--weights", "vibes"),
         ] {
             let error =
                 floorplan(&opts(&[option, value], FLOORPLAN_VALUES, &[])).expect_err("must reject");
             assert!(matches!(error, CliError::InvalidValue { .. }), "{option}");
         }
+        // There is one placement evaluator, so the evaluator switch is gone.
+        let args: Vec<String> = ["floorplan", "--eval", "full"]
+            .iter()
+            .map(|arg| arg.to_string())
+            .collect();
+        assert!(matches!(
+            crate::run(&args),
+            Err(CliError::UnknownOption { .. })
+        ));
     }
 
     #[test]

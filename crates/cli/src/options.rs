@@ -237,24 +237,28 @@ pub fn parse_benchmark(name: &str) -> Result<Benchmark, CliError> {
     }
 }
 
-/// Parses a grid-solver name (`gauss-seidel`, `pcg`, `pcg-jacobi`,
-/// `cholesky`).
+/// Parses a grid-solver name, case-insensitively: any
+/// [`GridSolver::name`] of [`GridSolver::ALL`], plus the aliases `gs`
+/// (Gauss–Seidel) and `banded-cholesky`.
 ///
 /// # Errors
 ///
 /// Returns [`CliError::InvalidValue`] for unknown names.
 pub fn parse_grid_solver(name: &str) -> Result<GridSolver, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "gauss-seidel" | "gs" => Ok(GridSolver::GaussSeidel),
-        "pcg" => Ok(GridSolver::Pcg),
-        "pcg-jacobi" => Ok(GridSolver::PcgJacobi),
-        "cholesky" | "banded-cholesky" => Ok(GridSolver::BandedCholesky),
-        _ => Err(CliError::InvalidValue {
-            option: "solver".to_string(),
-            value: name.to_string(),
-            expected: "gauss-seidel, pcg, pcg-jacobi or cholesky".to_string(),
-        }),
-    }
+    let folded = name.to_ascii_lowercase();
+    let canonical = match folded.as_str() {
+        "gs" => "gauss-seidel",
+        "banded-cholesky" => "cholesky",
+        other => other,
+    };
+    GridSolver::from_name(canonical).ok_or_else(|| CliError::InvalidValue {
+        option: "solver".to_string(),
+        value: name.to_string(),
+        expected: format!(
+            "one of {}",
+            GridSolver::ALL.map(|solver| solver.name()).join(", ")
+        ),
+    })
 }
 
 /// Parses a comma-separated benchmark list; `all` selects every benchmark.
@@ -420,16 +424,29 @@ mod tests {
             parse_grid_solver("gs").expect("ok"),
             GridSolver::GaussSeidel
         );
-        assert_eq!(parse_grid_solver("PCG").expect("ok"), GridSolver::Pcg);
-        assert_eq!(
-            parse_grid_solver("pcg-jacobi").expect("ok"),
-            GridSolver::PcgJacobi
-        );
         assert_eq!(
             parse_grid_solver("cholesky").expect("ok"),
             GridSolver::BandedCholesky
         );
-        assert!(parse_grid_solver("multigrid").is_err());
+        assert_eq!(
+            parse_grid_solver("Banded-Cholesky").expect("ok"),
+            GridSolver::BandedCholesky
+        );
+        for solver in GridSolver::ALL {
+            assert_eq!(
+                parse_grid_solver(&solver.name().to_ascii_uppercase()).expect("ok"),
+                solver
+            );
+        }
+        // Unknown names, including the retired iterative solvers, are
+        // rejected with the full list of accepted names.
+        for name in ["multigrid", "pcg", "PCG", "pcg-jacobi"] {
+            let error = parse_grid_solver(name).expect_err(name);
+            assert!(
+                error.to_string().contains("gauss-seidel, cholesky"),
+                "{error}"
+            );
+        }
     }
 
     #[test]

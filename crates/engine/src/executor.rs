@@ -253,9 +253,9 @@ struct EngineMetrics {
     failed: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    /// Iterations per grid solve (Gauss–Seidel sweeps or PCG iterations;
-    /// the direct Cholesky path records 0). Raw counts, not seconds.
-    pcg_iterations: Arc<Histogram>,
+    /// Iterations per grid solve (Gauss–Seidel sweeps; the direct
+    /// Cholesky path records 0). Raw counts, not seconds.
+    grid_iterations: Arc<Histogram>,
     /// Residual of the most recent grid solve, in 1e-12 units (gauges are
     /// integers; the span attribute carries the exact float).
     solver_residual: Arc<Gauge>,
@@ -278,7 +278,7 @@ impl EngineMetrics {
             failed: registry.counter("engine_scenarios_failed_total", &[]),
             cache_hits: registry.counter("engine_cache_hits_total", &[]),
             cache_misses: registry.counter("engine_cache_misses_total", &[]),
-            pcg_iterations: registry.histogram("engine_pcg_iterations", &[]),
+            grid_iterations: registry.histogram("engine_grid_iterations", &[]),
             solver_residual: registry.gauge("engine_solver_residual", &[]),
             cholesky_refactors: registry.counter("engine_cholesky_refactors_total", &[]),
         }
@@ -404,7 +404,7 @@ fn run_scenario(
             metrics.grid_seconds.record_duration(grid_clock.elapsed());
         }
         if let Some((iterations, residual)) = solver_telemetry {
-            metrics.pcg_iterations.record(iterations as u64);
+            metrics.grid_iterations.record(iterations as u64);
             metrics.solver_residual.set((residual * 1e12) as u64);
         }
         metrics
@@ -888,7 +888,7 @@ mod tests {
     #[test]
     fn grid_scenarios_record_solver_telemetry() {
         let campaign = tiny_campaign().with_solvers(vec![
-            Some(GridSolver::Pcg),
+            Some(GridSolver::GaussSeidel),
             Some(GridSolver::BandedCholesky),
         ]);
         let scenarios = campaign.scenarios();
@@ -908,9 +908,10 @@ mod tests {
             })
             .unwrap();
         let snapshot = registry.snapshot();
-        // One iteration sample per grid solve; the PCG ones are nonzero.
+        // One iteration sample per grid solve; the Gauss–Seidel ones are
+        // nonzero.
         let iterations = snapshot
-            .histogram_value("engine_pcg_iterations", &[])
+            .histogram_value("engine_grid_iterations", &[])
             .unwrap();
         assert_eq!(iterations.count(), scenarios.len() as u64);
         assert!(iterations.max() > 0);
@@ -928,8 +929,10 @@ mod tests {
         }
         assert!(grid_spans
             .iter()
-            .any(|s| s.attrs.get("solver").map(String::as_str) == Some("pcg")
-                && s.attrs.get("iterations").unwrap() != "0"));
+            .any(
+                |s| s.attrs.get("solver").map(String::as_str) == Some("gauss-seidel")
+                    && s.attrs.get("iterations").unwrap() != "0"
+            ));
     }
 
     #[test]

@@ -129,15 +129,8 @@ fn parse_policy(slug: &str) -> Result<Policy, EngineError> {
 }
 
 fn parse_solver(name: &str) -> Result<GridSolver, EngineError> {
-    [
-        GridSolver::GaussSeidel,
-        GridSolver::Pcg,
-        GridSolver::PcgJacobi,
-        GridSolver::BandedCholesky,
-    ]
-    .into_iter()
-    .find(|s| s.name() == name)
-    .ok_or_else(|| EngineError::InvalidParameter(format!("unknown grid solver '{name}'")))
+    GridSolver::from_name(name)
+        .ok_or_else(|| EngineError::InvalidParameter(format!("unknown grid solver '{name}'")))
 }
 
 /// Wraps a field-accessor message (`JsonValue::field_*`) as a spec error.
@@ -421,14 +414,19 @@ mod tests {
 
     #[test]
     fn solver_names_round_trip() {
-        for solver in [
-            GridSolver::GaussSeidel,
-            GridSolver::Pcg,
-            GridSolver::PcgJacobi,
-            GridSolver::BandedCholesky,
-        ] {
+        for solver in GridSolver::ALL {
             assert_eq!(parse_solver(solver.name()).unwrap(), solver);
         }
-        assert!(parse_solver("multigrid").is_err());
+        // Unknown names, including the retired iterative solvers, fail
+        // loudly instead of falling back to a default.
+        for name in ["multigrid", "pcg", "pcg-jacobi"] {
+            let error = parse_solver(name).unwrap_err();
+            assert!(
+                error
+                    .to_string()
+                    .contains(&format!("unknown grid solver '{name}'")),
+                "{error}"
+            );
+        }
     }
 }

@@ -15,8 +15,6 @@ use crate::annealing::OptimisedFloorplan;
 use crate::cost::CostEvaluator;
 use crate::error::FloorplanError;
 use crate::polish::{Element, Placement, PolishExpression};
-use crate::shapes::ShapeMode;
-use crate::slicing::{EvalStrategy, SlicingTree};
 
 /// One evaluated chromosome.
 type Scored = (PolishExpression, crate::cost::CostBreakdown, Placement);
@@ -24,16 +22,9 @@ type Scored = (PolishExpression, crate::cost::CostBreakdown, Placement);
 /// Evaluates a batch of chromosomes in parallel, one cached thermal kernel
 /// per worker chunk. Evaluation is pure, so the result is independent of the
 /// thread count and identical to a serial evaluation.
-///
-/// Under [`EvalStrategy::Incremental`] each chunk reuses one curve-backed
-/// [`SlicingTree`] (crossover children share no move history, so the tree is
-/// rebuilt per chromosome, but every allocation — node arrays, curves,
-/// walk stack — is reused); placements are bit-identical to
-/// [`PolishExpression::evaluate`].
 fn score_population(
     evaluator: &CostEvaluator,
     population: Vec<PolishExpression>,
-    eval: EvalStrategy,
 ) -> Result<Vec<Scored>, FloorplanError> {
     let workers = rayon::current_num_threads().max(1);
     let chunk_size = population.len().div_ceil(workers).max(1);
@@ -41,29 +32,10 @@ fn score_population(
         .par_chunks(chunk_size)
         .map(|chunk| {
             let mut scratch = evaluator.scratch()?;
-            let mut tree: Option<SlicingTree> = None;
-            let mut buffer = Placement::zeroed(evaluator.modules().len());
             chunk
                 .iter()
                 .map(|expr| {
-                    let placement = match eval {
-                        EvalStrategy::Full => expr.evaluate(evaluator.modules())?,
-                        EvalStrategy::Incremental => {
-                            let tree = match tree.as_mut() {
-                                Some(tree) => {
-                                    tree.rebuild(expr)?;
-                                    tree
-                                }
-                                None => tree.insert(SlicingTree::new(
-                                    expr,
-                                    evaluator.modules(),
-                                    ShapeMode::Fixed,
-                                )?),
-                            };
-                            tree.placement_into(&mut buffer);
-                            buffer.clone()
-                        }
-                    };
+                    let placement = expr.evaluate(evaluator.modules())?;
                     let cost = evaluator.cost_with(&placement, &mut scratch)?;
                     Ok((expr.clone(), cost, placement))
                 })
@@ -91,10 +63,6 @@ pub struct GaConfig {
     pub elitism: usize,
     /// Seed of the pseudo-random generator.
     pub seed: u64,
-    /// Chromosome evaluator: curve-backed slicing trees with allocation
-    /// reuse (default) or the full per-chromosome re-evaluation. Both score
-    /// bit-identically, so the evolution trajectory is unchanged.
-    pub eval: EvalStrategy,
 }
 
 impl Default for GaConfig {
@@ -107,7 +75,6 @@ impl Default for GaConfig {
             tournament_size: 3,
             elitism: 2,
             seed: 0x6E6E,
-            eval: EvalStrategy::Incremental,
         }
     }
 }
@@ -203,7 +170,7 @@ pub fn evolve(
     // no randomness), then scored concurrently across worker threads, each
     // with its own cached thermal kernel.
     let mut evaluations = population.len();
-    let mut scored: Vec<Scored> = score_population(evaluator, population, config.eval)?;
+    let mut scored: Vec<Scored> = score_population(evaluator, population)?;
 
     for _generation in 0..config.generations {
         scored.sort_by(|a, b| a.1.weighted.total_cmp(&b.1.weighted));
@@ -236,7 +203,7 @@ pub fn evolve(
             children.push(child);
         }
         evaluations += children.len();
-        next.extend(score_population(evaluator, children, config.eval)?);
+        next.extend(score_population(evaluator, children)?);
         // Shuffle to avoid positional bias from elitism ordering.
         next.shuffle(&mut rng);
         scored = next;
@@ -304,33 +271,6 @@ mod tests {
         let result = evolve(&eval, quick_config()).unwrap();
         let naive = eval.cost(&result.placement).unwrap();
         assert!((naive.weighted - result.cost.weighted).abs() < 1e-9);
-    }
-
-    #[test]
-    fn full_and_incremental_scoring_are_bit_identical() {
-        // Curve-backed chromosome scoring must not change the evolution
-        // trajectory by a single ulp.
-        let eval = evaluator(CostWeights::thermal_aware());
-        let full = evolve(
-            &eval,
-            GaConfig {
-                eval: EvalStrategy::Full,
-                ..quick_config()
-            },
-        )
-        .unwrap();
-        let incremental = evolve(
-            &eval,
-            GaConfig {
-                eval: EvalStrategy::Incremental,
-                ..quick_config()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.expression, incremental.expression);
-        assert_eq!(full.placement, incremental.placement);
-        assert_eq!(full.cost, incremental.cost);
-        assert_eq!(full.evaluations, incremental.evaluations);
     }
 
     #[test]

@@ -1845,6 +1845,26 @@ mod tests {
     }
 
     #[test]
+    fn retired_grid_solver_names_are_rejected() {
+        let handle = Service::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+        let addr = handle.addr_string();
+        let mut spec = tats_engine::CampaignSpec::default();
+        spec.benchmarks.truncate(1);
+        spec.solvers = vec![None];
+        let wire = JsonValue::object(vec![("spec".to_string(), spec.to_json())]).to_json();
+        assert!(wire.contains("\"solvers\":[null]"), "{wire}");
+        let body = wire.replace("\"solvers\":[null]", "\"solvers\":[\"pcg\"]");
+        let response = client::request(&addr, "POST", "/jobs", &[], Some(&body)).expect("post");
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(
+            response.body.contains("unknown grid solver 'pcg'"),
+            "{}",
+            response.body
+        );
+        handle.stop();
+    }
+
+    #[test]
     fn connection_gate_sheds_with_503_and_counts_rejections() {
         let config = ServiceConfig {
             max_connections: 1,

@@ -5,28 +5,22 @@
 //! and for the ablation benches this module also provides a finer grid model:
 //! the floorplan bounding box is discretised into `nx × ny` cells, block
 //! power is distributed over the cells it covers, and the resulting sparse
-//! system is solved with one of three interchangeable solvers (see
-//! [`GridSolver`]).
+//! system is solved with one of two solvers (see [`GridSolver`]).
 //!
 //! # Solver selection
 //!
-//! | solver | per-query cost | when it wins |
+//! | solver | per-query cost | role |
 //! |---|---|---|
-//! | [`GridSolver::GaussSeidel`] | `O(iterations · cells)`, thousands of sweeps | reference path; tiny grids; no extra setup |
-//! | [`GridSolver::Pcg`] (IC(0)) | tens of sparse sweeps | single queries on large grids; lowest setup cost |
-//! | [`GridSolver::PcgJacobi`] | hundreds of sparse sweeps | diagnostics; preconditioner ablations |
-//! | [`GridSolver::BandedCholesky`] | one banded sweep (`O(cells · nx)`) after an `O(cells · nx²)` factorisation cached at construction | repeated right-hand sides: sweeps, ablations, transient stepping |
+//! | [`GridSolver::BandedCholesky`] | one banded sweep (`O(cells · nx)`) after an `O(cells · nx²)` factorisation cached at construction | production path: campaigns, sweeps, ablations, transient stepping |
+//! | [`GridSolver::GaussSeidel`] | `O(iterations · cells)`, thousands of sweeps | reference path; no setup; the oracle of the equivalence tests |
 //!
-//! The three paths agree to solver tolerance; the equivalence tests in this
+//! The two paths agree to solver tolerance; the equivalence tests in this
 //! module pin them together within `1e-6`.
 
 use crate::error::ThermalError;
 use crate::floorplan::Floorplan;
 use crate::materials::ThermalConfig;
-use tats_sparse::{
-    BandedMatrix, BorderedBandedCholesky, CgWorkspace, CsrMatrix, PcgSolver, Preconditioner,
-    SparseError, SpdBuilder,
-};
+use tats_sparse::{BandedMatrix, BorderedBandedCholesky, SparseError};
 
 /// Banded cell core, dense border columns and corner block of the grid
 /// system in the form [`BorderedBandedCholesky`] consumes.
@@ -35,15 +29,6 @@ pub(crate) type BorderedSystem = (BandedMatrix, Vec<Vec<f64>>, Vec<Vec<f64>>);
 /// Converts a sparse-subsystem failure into the thermal error vocabulary.
 pub(crate) fn from_sparse(error: SparseError) -> ThermalError {
     match error {
-        SparseError::NoConvergence {
-            iterations,
-            residual,
-            tolerance,
-        } => ThermalError::NoConvergence {
-            iterations,
-            residual,
-            tolerance,
-        },
         SparseError::NotPositiveDefinite { .. } => ThermalError::SingularSystem,
         other => ThermalError::InvalidParameter(other.to_string()),
     }
@@ -110,12 +95,6 @@ pub enum GridSolver {
     /// Point-wise Gauss–Seidel relaxation — the reference implementation.
     #[default]
     GaussSeidel,
-    /// Conjugate gradients with a zero-fill incomplete Cholesky (IC(0))
-    /// preconditioner over the assembled sparse system.
-    Pcg,
-    /// Conjugate gradients with the cheaper Jacobi (diagonal)
-    /// preconditioner.
-    PcgJacobi,
     /// Direct banded Cholesky factorisation of the cell Laplacian
     /// (bandwidth `nx`) with the dense spreader/sink rows handled by block
     /// elimination; the factor is computed once at selection time and
@@ -124,14 +103,23 @@ pub enum GridSolver {
 }
 
 impl GridSolver {
+    /// Every solver, in the order name listings show them. Parsers of
+    /// solver names (campaign specs, the CLI) look names up here.
+    pub const ALL: [GridSolver; 2] = [GridSolver::GaussSeidel, GridSolver::BandedCholesky];
+
     /// Stable textual name (accepted back by the CLI's `--solver` option).
     pub fn name(&self) -> &'static str {
         match self {
             GridSolver::GaussSeidel => "gauss-seidel",
-            GridSolver::Pcg => "pcg",
-            GridSolver::PcgJacobi => "pcg-jacobi",
             GridSolver::BandedCholesky => "cholesky",
         }
+    }
+
+    /// The solver whose [`GridSolver::name`] is `name`, if any.
+    pub fn from_name(name: &str) -> Option<GridSolver> {
+        GridSolver::ALL
+            .into_iter()
+            .find(|solver| solver.name() == name)
     }
 }
 
@@ -139,19 +127,6 @@ impl std::fmt::Display for GridSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Solver-specific cached artefacts, built once per [`GridModel`].
-#[derive(Debug, Clone)]
-enum SolverEngine {
-    GaussSeidel,
-    Pcg {
-        matrix: CsrMatrix,
-        preconditioner: Preconditioner,
-    },
-    Cholesky {
-        factor: BorderedBandedCholesky,
-    },
 }
 
 /// Reusable buffers for repeated [`GridModel::steady_state_with`] queries:
@@ -163,7 +138,6 @@ pub struct GridWorkspace {
     t: Vec<f64>,
     /// Heat input per node.
     q: Vec<f64>,
-    cg: CgWorkspace,
     /// Iterations of the most recent solve (0 for the direct Cholesky
     /// path, which has no iteration count).
     last_iterations: usize,
@@ -172,16 +146,16 @@ pub struct GridWorkspace {
 }
 
 impl GridWorkspace {
-    /// Iterations the most recent [`GridModel::steady_state_with`] call
-    /// took: Gauss–Seidel sweeps or PCG iterations. Zero before the first
-    /// solve and for the direct banded-Cholesky path.
+    /// Gauss–Seidel sweeps the most recent [`GridModel::steady_state_with`]
+    /// call took. Zero before the first solve and for the direct
+    /// banded-Cholesky path.
     pub fn last_iterations(&self) -> usize {
         self.last_iterations
     }
 
-    /// Residual the most recent solve achieved (max temperature change
-    /// for Gauss–Seidel, relative residual for PCG). Zero before the
-    /// first solve and for the direct banded-Cholesky path.
+    /// Residual the most recent Gauss–Seidel solve achieved (max
+    /// temperature change of its last sweep). Zero before the first solve
+    /// and for the direct banded-Cholesky path.
     pub fn last_residual(&self) -> f64 {
         self.last_residual
     }
@@ -221,7 +195,9 @@ pub struct GridModel {
     /// Vertical conductance of one cell towards the spreader, W/K.
     g_vertical: f64,
     solver: GridSolver,
-    engine: SolverEngine,
+    /// Cached banded factor: `Some` exactly when the solver is
+    /// [`GridSolver::BandedCholesky`].
+    factor: Option<BorderedBandedCholesky>,
     max_iterations: usize,
     tolerance: f64,
 }
@@ -293,40 +269,25 @@ impl GridModel {
             g_lateral_y,
             g_vertical,
             solver: GridSolver::GaussSeidel,
-            engine: SolverEngine::GaussSeidel,
+            factor: None,
             max_iterations: 20_000,
             tolerance: 1e-7,
         })
     }
 
-    /// Selects the steady-state solver, building and caching its artefacts
-    /// (assembled sparse system, preconditioner or banded factorisation).
+    /// Selects the steady-state solver, building and caching the banded
+    /// factorisation when the solver is [`GridSolver::BandedCholesky`].
     ///
     /// # Errors
     ///
     /// Returns [`ThermalError::SingularSystem`] if the assembled system is
     /// not positive definite (cannot happen for validated configurations).
     pub fn with_solver(mut self, solver: GridSolver) -> Result<Self, ThermalError> {
-        self.engine = match solver {
-            GridSolver::GaussSeidel => SolverEngine::GaussSeidel,
-            GridSolver::Pcg | GridSolver::PcgJacobi => {
-                let matrix = self.assemble_csr()?;
-                let preconditioner = if solver == GridSolver::Pcg {
-                    Preconditioner::ic0(&matrix)
-                } else {
-                    Preconditioner::jacobi(&matrix)
-                }
-                .map_err(from_sparse)?;
-                SolverEngine::Pcg {
-                    matrix,
-                    preconditioner,
-                }
-            }
+        self.factor = match solver {
+            GridSolver::GaussSeidel => None,
             GridSolver::BandedCholesky => {
                 let (core, border, corner) = self.assemble_bordered(0.0, 0.0, 0.0)?;
-                let factor =
-                    BorderedBandedCholesky::new(&core, &border, &corner).map_err(from_sparse)?;
-                SolverEngine::Cholesky { factor }
+                Some(BorderedBandedCholesky::new(&core, &border, &corner).map_err(from_sparse)?)
             }
         };
         self.solver = solver;
@@ -338,10 +299,9 @@ impl GridModel {
         self.solver
     }
 
-    /// Overrides the iteration budget and tolerance of the iterative
-    /// solvers (Gauss–Seidel: maximum per-sweep temperature change; PCG:
-    /// relative residual). The banded Cholesky path is direct and ignores
-    /// both.
+    /// Overrides the sweep budget and tolerance (maximum per-sweep
+    /// temperature change) of the Gauss–Seidel reference solver. The banded
+    /// Cholesky path is direct and ignores both.
     pub fn with_solver_limits(mut self, max_iterations: usize, tolerance: f64) -> Self {
         self.max_iterations = max_iterations;
         self.tolerance = tolerance;
@@ -361,56 +321,6 @@ impl GridModel {
     /// Number of unknowns of the assembled system (cells + spreader + sink).
     pub fn node_count(&self) -> usize {
         self.nx * self.ny + 2
-    }
-
-    /// Assembles the full steady-state conductance matrix (cells, then
-    /// spreader, then sink) as a CSR matrix — the system the PCG path
-    /// solves and the object the symmetry/diagonal-dominance validation
-    /// tests inspect.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly failures from the sparse builder.
-    pub fn system_matrix(&self) -> Result<CsrMatrix, ThermalError> {
-        self.assemble_csr()
-    }
-
-    fn assemble_csr(&self) -> Result<CsrMatrix, ThermalError> {
-        let cells = self.nx * self.ny;
-        let spreader = cells;
-        let sink = cells + 1;
-        let mut builder = SpdBuilder::new(cells + 2);
-        for iy in 0..self.ny {
-            for ix in 0..self.nx {
-                let idx = iy * self.nx + ix;
-                builder
-                    .add_branch(idx, spreader, self.g_vertical)
-                    .map_err(from_sparse)?;
-                if ix + 1 < self.nx {
-                    builder
-                        .add_branch(idx, idx + 1, self.g_lateral_x)
-                        .map_err(from_sparse)?;
-                }
-                if iy + 1 < self.ny {
-                    builder
-                        .add_branch(idx, idx + self.nx, self.g_lateral_y)
-                        .map_err(from_sparse)?;
-                }
-            }
-        }
-        builder
-            .add_branch(
-                spreader,
-                sink,
-                1.0 / self.config.spreader_to_sink_resistance,
-            )
-            .map_err(from_sparse)?;
-        // The convection branch to the (grounded) ambient only touches the
-        // sink diagonal; the ambient temperature enters through the rhs.
-        builder
-            .add_diagonal(sink, 1.0 / self.config.convection_resistance)
-            .map_err(from_sparse)?;
-        builder.build().map_err(from_sparse)
     }
 
     /// Assembles the bordered-banded form of the system: the banded cell
@@ -502,7 +412,6 @@ impl GridModel {
         GridWorkspace {
             t: vec![self.config.ambient_c; n],
             q: vec![0.0; n],
-            cg: CgWorkspace::new(n),
             last_iterations: 0,
             last_residual: 0.0,
         }
@@ -541,33 +450,16 @@ impl GridModel {
         if workspace.t.len() != n {
             workspace.t = vec![self.config.ambient_c; n];
             workspace.q = vec![0.0; n];
-            workspace.cg = CgWorkspace::new(n);
         }
         self.heat_input_into(block_power, &mut workspace.q);
 
-        match &self.engine {
-            SolverEngine::GaussSeidel => {
+        match &self.factor {
+            None => {
                 let (iterations, residual) = self.gauss_seidel(&workspace.q, &mut workspace.t)?;
                 workspace.last_iterations = iterations;
                 workspace.last_residual = residual;
             }
-            SolverEngine::Pcg {
-                matrix,
-                preconditioner,
-            } => {
-                let summary = PcgSolver::new(self.max_iterations, self.tolerance)
-                    .solve_into(
-                        matrix,
-                        preconditioner,
-                        &workspace.q,
-                        &mut workspace.t,
-                        &mut workspace.cg,
-                    )
-                    .map_err(from_sparse)?;
-                workspace.last_iterations = summary.iterations;
-                workspace.last_residual = summary.residual;
-            }
-            SolverEngine::Cholesky { factor } => {
+            Some(factor) => {
                 workspace.t.copy_from_slice(&workspace.q);
                 factor.solve_into(&mut workspace.t).map_err(from_sparse)?;
                 workspace.last_iterations = 0;
@@ -710,16 +602,9 @@ mod tests {
         .unwrap()
     }
 
-    const ALL_SOLVERS: [GridSolver; 4] = [
-        GridSolver::GaussSeidel,
-        GridSolver::Pcg,
-        GridSolver::PcgJacobi,
-        GridSolver::BandedCholesky,
-    ];
-
     #[test]
     fn hot_block_cells_are_hotter_with_every_solver() {
-        for solver in ALL_SOLVERS {
+        for solver in GridSolver::ALL {
             let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 14, 7)
                 .unwrap()
                 .with_solver(solver)
@@ -738,7 +623,7 @@ mod tests {
 
     #[test]
     fn workspace_reports_solver_telemetry() {
-        for solver in ALL_SOLVERS {
+        for solver in GridSolver::ALL {
             let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 14, 7)
                 .unwrap()
                 .with_solver(solver)
@@ -785,7 +670,7 @@ mod tests {
 
     #[test]
     fn zero_power_settles_at_ambient_everywhere() {
-        for solver in ALL_SOLVERS {
+        for solver in GridSolver::ALL {
             let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 8, 4)
                 .unwrap()
                 .with_solver(solver)
@@ -833,23 +718,19 @@ mod tests {
 
     #[test]
     fn starved_solvers_report_achieved_residual() {
-        for solver in [GridSolver::GaussSeidel, GridSolver::PcgJacobi] {
-            let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 16, 8)
-                .unwrap()
-                .with_solver(solver)
-                .unwrap()
-                .with_solver_limits(2, 1e-12);
-            match grid.steady_state(&[5.0, 5.0]) {
-                Err(ThermalError::NoConvergence {
-                    iterations,
-                    residual,
-                    tolerance,
-                }) => {
-                    assert_eq!(iterations, 2, "{solver}");
-                    assert!(residual > tolerance);
-                }
-                other => panic!("{solver}: expected NoConvergence, got {other:?}"),
+        let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 16, 8)
+            .unwrap()
+            .with_solver_limits(2, 1e-12);
+        match grid.steady_state(&[5.0, 5.0]) {
+            Err(ThermalError::NoConvergence {
+                iterations,
+                residual,
+                tolerance,
+            }) => {
+                assert_eq!(iterations, 2);
+                assert!(residual > tolerance);
             }
+            other => panic!("expected NoConvergence, got {other:?}"),
         }
     }
 
@@ -872,12 +753,15 @@ mod tests {
     #[test]
     fn system_matrix_shape_matches_node_count() {
         let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 6, 3).unwrap();
-        let matrix = grid.system_matrix().unwrap();
-        assert_eq!(matrix.n(), grid.node_count());
-        assert_eq!(matrix.n(), 6 * 3 + 2);
-        // 5-point stencil + spreader coupling per cell, spreader-sink
-        // branch, convection diagonal.
-        assert!(matrix.nnz() > 5 * 18);
+        let (core, border, corner) = grid.assemble_bordered(0.0, 0.0, 0.0).unwrap();
+        // Banded cell core (bandwidth nx) plus a spreader and a sink node.
+        assert_eq!(core.n(), 6 * 3);
+        assert_eq!(core.bandwidth(), 6);
+        assert_eq!(border.len(), 2);
+        assert!(border.iter().all(|column| column.len() == core.n()));
+        assert_eq!(corner.len(), 2);
+        assert!(corner.iter().all(|row| row.len() == 2));
+        assert_eq!(core.n() + corner.len(), grid.node_count());
     }
 }
 
@@ -900,9 +784,9 @@ mod proptests {
     }
 
     proptest! {
-        /// PCG (both preconditioners) and banded Cholesky match the
-        /// tight-tolerance Gauss–Seidel reference within 1e-6 on randomized
-        /// floorplans and power assignments.
+        /// Banded Cholesky matches the tight-tolerance Gauss–Seidel
+        /// reference within 1e-6 on randomized floorplans and power
+        /// assignments.
         #[test]
         fn sparse_solvers_match_gauss_seidel(
             widths in proptest::collection::vec(2.0f64..8.0, 2..5),
@@ -919,36 +803,27 @@ mod proptests {
                 .with_solver_limits(500_000, 1e-11)
                 .steady_state(power)
                 .unwrap();
-            for solver in [
-                GridSolver::Pcg,
-                GridSolver::PcgJacobi,
-                GridSolver::BandedCholesky,
-            ] {
-                let temps = GridModel::new(&plan, config, nx, ny)
-                    .unwrap()
-                    .with_solver(solver)
-                    .unwrap()
-                    .with_solver_limits(100_000, 1e-12)
-                    .steady_state(power)
-                    .unwrap();
-                for (cell, (a, b)) in temps.cells().iter().zip(reference.cells()).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() < 1e-6,
-                        "{solver} cell {cell}: {a} vs {b}"
-                    );
-                }
-                for (a, b) in temps
-                    .block_average_c()
-                    .iter()
-                    .zip(reference.block_average_c())
-                {
-                    prop_assert!((a - b).abs() < 1e-6, "{solver} block avg {a} vs {b}");
-                }
+            let temps = GridModel::new(&plan, config, nx, ny)
+                .unwrap()
+                .with_solver(GridSolver::BandedCholesky)
+                .unwrap()
+                .steady_state(power)
+                .unwrap();
+            for (cell, (a, b)) in temps.cells().iter().zip(reference.cells()).enumerate() {
+                prop_assert!((a - b).abs() < 1e-6, "cell {cell}: {a} vs {b}");
+            }
+            for (a, b) in temps
+                .block_average_c()
+                .iter()
+                .zip(reference.block_average_c())
+            {
+                prop_assert!((a - b).abs() < 1e-6, "block avg {a} vs {b}");
             }
         }
 
-        /// Every assembled grid system is symmetric and diagonally dominant
-        /// (the structural properties PCG and Cholesky rely on).
+        /// Every assembled grid system — the bordered-banded form the
+        /// Cholesky factor consumes — is symmetric and diagonally dominant
+        /// with a positive diagonal.
         #[test]
         fn assembled_grid_matrices_are_symmetric_diagonally_dominant(
             widths in proptest::collection::vec(2.0f64..8.0, 2..5),
@@ -957,15 +832,25 @@ mod proptests {
             ny in 1usize..9,
         ) {
             let plan = strip_plan(&widths, height);
-            let matrix = GridModel::new(&plan, ThermalConfig::default(), nx, ny)
-                .unwrap()
-                .system_matrix()
-                .unwrap();
-            prop_assert_eq!(matrix.n(), nx * ny + 2);
-            prop_assert_eq!(matrix.max_asymmetry(), 0.0);
-            prop_assert!(matrix.is_diagonally_dominant(1e-9 * matrix.n() as f64));
-            for (i, d) in matrix.diagonal().into_iter().enumerate() {
-                prop_assert!(d > 0.0, "diagonal {i} is {d}");
+            let grid = GridModel::new(&plan, ThermalConfig::default(), nx, ny).unwrap();
+            let (core, border, corner) = grid.assemble_bordered(0.0, 0.0, 0.0).unwrap();
+            let cells = core.n();
+            prop_assert_eq!(cells + corner.len(), nx * ny + 2);
+            // Dense view of the whole system: banded core, border columns
+            // (and their transposed rows), corner block.
+            let n = cells + corner.len();
+            let entry = |i: usize, j: usize| match (i < cells, j < cells) {
+                (true, true) => core.get(i, j),
+                (true, false) => border[j - cells][i],
+                (false, true) => border[i - cells][j],
+                (false, false) => corner[i - cells][j - cells],
+            };
+            prop_assert_eq!(corner[0][1], corner[1][0]);
+            for i in 0..n {
+                let diagonal = entry(i, i);
+                prop_assert!(diagonal > 0.0, "diagonal {i} is {diagonal}");
+                let off_diagonal: f64 = (0..n).filter(|&j| j != i).map(|j| entry(i, j).abs()).sum();
+                prop_assert!(diagonal + 1e-9 * n as f64 >= off_diagonal, "row {i}");
             }
         }
     }

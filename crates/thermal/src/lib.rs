@@ -16,13 +16,10 @@
 //!   power traces (backward Euler or RK4),
 //! * [`GridModel`] — finer grid-refined steady-state solver used for
 //!   validation and ablations, with a selectable [`GridSolver`] backend:
-//!   the Gauss–Seidel reference sweep, IC(0)- or Jacobi-preconditioned
-//!   conjugate gradients over the assembled `tats_sparse` CSR system, or a
-//!   cached banded Cholesky factorisation (bandwidth `nx`, with the dense
-//!   spreader/sink rows handled by block elimination). Gauss–Seidel is the
-//!   reference; PCG wins for one-off queries on large grids; the cached
-//!   Cholesky factor wins whenever many right-hand sides hit one model —
-//!   sweeps, ablations and the implicit [`GridTransientSolver`] steps,
+//!   a cached banded Cholesky factorisation (bandwidth `nx`, with the dense
+//!   spreader/sink rows handled by block elimination) for production use —
+//!   campaigns, sweeps, ablations and the implicit [`GridTransientSolver`]
+//!   steps — and the Gauss–Seidel reference sweep it is tested against,
 //! * [`linalg`] — the small dense LU solver behind the block model.
 //!
 //! # Examples
