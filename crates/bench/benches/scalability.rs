@@ -43,9 +43,9 @@ fn bench_scalability(c: &mut Criterion) {
     group.finish();
 
     // The sweep itself (one run per policy) is embarrassingly parallel, so
-    // the rayon pattern from the GA applies: this group measures the batch
-    // wall time of all three policies evaluated concurrently, i.e. what a
-    // parallel ablation sweep pays per task-graph size.
+    // a rayon `par_iter` runs it: this group measures the batch wall time of
+    // all three policies evaluated concurrently, i.e. what a parallel
+    // ablation sweep pays per task-graph size.
     let mut group = c.benchmark_group("scalability_policies_parallel");
     group.sample_size(10);
     for &size in &SIZES {

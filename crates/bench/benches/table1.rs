@@ -5,9 +5,8 @@
 //! Run `cargo run --release -p tats-bench --bin reproduce -- table1` to print
 //! the full table once; this bench measures how expensive regenerating each
 //! benchmark's row group is. The four policies of one row group are
-//! independent, so they are evaluated with the same rayon pattern as the
-//! GA's population scoring — results come back in policy order, identical
-//! to a serial evaluation.
+//! independent, so they are evaluated with a rayon `par_iter` — results come
+//! back in policy order, identical to a serial evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rayon::prelude::*;

@@ -1,8 +1,7 @@
 //! Regenerates one row of Table 2 per iteration: power-aware (heuristic 3)
 //! versus thermal-aware co-synthesis for each benchmark, including the
 //! genetic thermal-aware floorplanning pass. The two policy runs are
-//! independent, so each iteration evaluates them with the same rayon
-//! pattern as the GA's population scoring.
+//! independent, so each iteration evaluates them with a rayon `par_iter`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rayon::prelude::*;

@@ -1,7 +1,7 @@
 //! Regenerates one row of Table 3 per iteration: power-aware (heuristic 3)
 //! versus thermal-aware scheduling on the fixed platform architecture. The
-//! two policy runs are independent, so each iteration evaluates them with
-//! the same rayon pattern as the GA's population scoring.
+//! two policy runs are independent, so each iteration evaluates them with a
+//! rayon `par_iter`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rayon::prelude::*;

@@ -518,11 +518,13 @@ pub fn floorplan(options: &Options) -> Result<String, CliError> {
         solution.cost.peak_temperature_c,
     ));
     out.push_str(&format!(
-        "weighted cost: {:.9}\n{} candidate evaluation(s) in {:.3} s ({:.0} evals/sec)\n",
+        "weighted cost: {:.9}\n{} candidate evaluation(s) in {:.3} s ({:.0} evals/sec), \
+         {} thermal solve(s)\n",
         solution.cost.weighted,
         solution.evaluations,
         wall_s,
         solution.evaluations as f64 / wall_s.max(1e-12),
+        solution.thermal_solves,
     ));
     Ok(out)
 }

@@ -77,6 +77,8 @@ pub struct OptimisedFloorplan {
     pub cost: CostBreakdown,
     /// Number of candidate placements evaluated.
     pub evaluations: usize,
+    /// Number of thermal solves performed (the cost scratch's memo misses).
+    pub thermal_solves: u64,
 }
 
 /// Runs simulated annealing over Polish expressions.
@@ -133,6 +135,7 @@ pub fn anneal(
         placement: best_placement,
         cost: best_cost,
         evaluations,
+        thermal_solves: scratch.memo_misses(),
     })
 }
 
@@ -158,6 +161,7 @@ mod tests {
         let result = anneal(&eval, SaConfig::default()).unwrap();
         assert!(result.cost.weighted <= initial_cost.weighted + 1e-9);
         assert!(result.evaluations > 1);
+        assert!(result.thermal_solves > 0 && result.thermal_solves <= result.evaluations as u64);
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl MemoEntry {
 
 /// Bounded memo plus reusable thermal kernel for the hot cost path.
 ///
-/// One `CostScratch` per optimisation thread: the scratch owns the
+/// One `CostScratch` per optimiser run: the scratch owns the
 /// [`ThermalSession`] (matrix/LU/solution storage reused across candidates),
 /// the candidate geometry buffer, and a geometry-hash → peak-temperature
 /// memo. Simulated annealing revisits placements constantly, so the memo
@@ -313,7 +313,7 @@ impl CostEvaluator {
         hash
     }
 
-    /// Creates the per-thread scratch state for [`CostEvaluator::cost_with`].
+    /// Creates the per-run scratch state for [`CostEvaluator::cost_with`].
     ///
     /// # Errors
     ///
@@ -617,6 +617,57 @@ mod tests {
         assert_eq!(scratch.memo_hits(), 1);
         // Memoised answers are bit-identical, not approximate.
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_and_naive_cost_to_the_bit() {
+        use crate::testutil;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        fn bits(cost: CostBreakdown) -> [u64; 4] {
+            [
+                cost.area_m2.to_bits(),
+                cost.wirelength_m.to_bits(),
+                cost.peak_temperature_c.to_bits(),
+                cost.weighted.to_bits(),
+            ]
+        }
+
+        // `(modules, seed, weights)`: each row walks a perturbation chain
+        // and then replays it backwards, so every placement is seen twice
+        // and the reused scratch answers the second visit from its memo.
+        let cases = [
+            (4, 0x11, CostWeights::thermal_aware()),
+            (8, 7, CostWeights::thermal_aware()),
+            (8, 7, CostWeights::area_only()),
+            (16, 0x5A, CostWeights::thermal_aware()),
+        ];
+        for (count, seed, weights) in cases {
+            let eval = testutil::evaluator(count, seed, weights).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut expr = PolishExpression::initial(count).unwrap();
+            let mut chain = vec![expr.clone()];
+            for _ in 0..12 {
+                expr = expr.perturb(&mut rng);
+                chain.push(expr.clone());
+            }
+            let mut reused = eval.scratch().unwrap();
+            for (step, expr) in chain.iter().chain(chain.iter().rev()).enumerate() {
+                let placement = expr.evaluate(eval.modules()).unwrap();
+                let shared = bits(eval.cost_with(&placement, &mut reused).unwrap());
+                let fresh = bits(
+                    eval.cost_with(&placement, &mut eval.scratch().unwrap())
+                        .unwrap(),
+                );
+                let naive = bits(eval.cost(&placement).unwrap());
+                assert_eq!(shared, fresh, "{count} modules, step {step}: vs fresh");
+                assert_eq!(shared, naive, "{count} modules, step {step}: vs naive");
+            }
+            if weights.temperature > 0.0 {
+                assert!(reused.memo_hits() >= chain.len() as u64);
+            }
+        }
     }
 
     #[test]

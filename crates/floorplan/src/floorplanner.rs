@@ -37,6 +37,8 @@ pub struct FloorplanSolution {
     pub cost: CostBreakdown,
     /// Number of candidate placements the engine evaluated.
     pub evaluations: usize,
+    /// Number of thermal solves behind those evaluations.
+    pub thermal_solves: u64,
 }
 
 /// Thermal-aware floorplanner: places a set of modules minimising a weighted
@@ -130,12 +132,14 @@ impl Floorplanner {
             Engine::InitialOnly => {
                 let expression = PolishExpression::initial(self.modules.len())?;
                 let placement = expression.evaluate(&self.modules)?;
-                let cost = evaluator.cost_with(&placement, &mut evaluator.scratch()?)?;
+                let mut scratch = evaluator.scratch()?;
+                let cost = evaluator.cost_with(&placement, &mut scratch)?;
                 OptimisedFloorplan {
                     expression,
                     placement,
                     cost,
                     evaluations: 1,
+                    thermal_solves: scratch.memo_misses(),
                 }
             }
         };
@@ -145,6 +149,7 @@ impl Floorplanner {
             floorplan,
             cost: optimised.cost,
             evaluations: optimised.evaluations,
+            thermal_solves: optimised.thermal_solves,
         })
     }
 }
@@ -170,6 +175,7 @@ mod tests {
             .unwrap();
         assert_eq!(solution.floorplan.block_count(), 4);
         assert_eq!(solution.evaluations, 1);
+        assert_eq!(solution.thermal_solves, 1);
         assert!(solution.cost.peak_temperature_c > 45.0);
     }
 
@@ -226,5 +232,6 @@ mod tests {
         // Area-only weights skip the thermal model, so the reported peak
         // temperature equals the ambient.
         assert_eq!(solution.cost.peak_temperature_c, 45.0);
+        assert_eq!(solution.thermal_solves, 0);
     }
 }

@@ -9,40 +9,30 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::annealing::OptimisedFloorplan;
-use crate::cost::CostEvaluator;
+use crate::cost::{CostEvaluator, CostScratch};
 use crate::error::FloorplanError;
 use crate::polish::{Element, Placement, PolishExpression};
 
 /// One evaluated chromosome.
 type Scored = (PolishExpression, crate::cost::CostBreakdown, Placement);
 
-/// Evaluates a batch of chromosomes in parallel, one cached thermal kernel
-/// per worker chunk. Evaluation is pure, so the result is independent of the
-/// thread count and identical to a serial evaluation.
+/// Evaluates a batch of chromosomes through the run's one cost scratch,
+/// whose history never changes a cost (memo hits are exact).
 fn score_population(
     evaluator: &CostEvaluator,
+    scratch: &mut CostScratch,
     population: Vec<PolishExpression>,
 ) -> Result<Vec<Scored>, FloorplanError> {
-    let workers = rayon::current_num_threads().max(1);
-    let chunk_size = population.len().div_ceil(workers).max(1);
-    let chunks: Result<Vec<Vec<Scored>>, FloorplanError> = population
-        .par_chunks(chunk_size)
-        .map(|chunk| {
-            let mut scratch = evaluator.scratch()?;
-            chunk
-                .iter()
-                .map(|expr| {
-                    let placement = expr.evaluate(evaluator.modules())?;
-                    let cost = evaluator.cost_with(&placement, &mut scratch)?;
-                    Ok((expr.clone(), cost, placement))
-                })
-                .collect()
+    population
+        .into_iter()
+        .map(|expr| {
+            let placement = expr.evaluate(evaluator.modules())?;
+            let cost = evaluator.cost_with(&placement, scratch)?;
+            Ok((expr, cost, placement))
         })
-        .collect();
-    Ok(chunks?.into_iter().flatten().collect())
+        .collect()
 }
 
 /// Parameters of the genetic floorplanning engine.
@@ -165,12 +155,11 @@ pub fn evolve(
         population.push(individual);
     }
 
-    // Parallel population evaluation: children are generated serially (the
-    // RNG stream is untouched relative to a serial GA because scoring draws
-    // no randomness), then scored concurrently across worker threads, each
-    // with its own cached thermal kernel.
+    // One scratch for the whole run, as in simulated annealing: its memo
+    // answers the children cloned unchanged from a parent.
+    let mut scratch = evaluator.scratch()?;
     let mut evaluations = population.len();
-    let mut scored: Vec<Scored> = score_population(evaluator, population)?;
+    let mut scored: Vec<Scored> = score_population(evaluator, &mut scratch, population)?;
 
     for _generation in 0..config.generations {
         scored.sort_by(|a, b| a.1.weighted.total_cmp(&b.1.weighted));
@@ -203,7 +192,7 @@ pub fn evolve(
             children.push(child);
         }
         evaluations += children.len();
-        next.extend(score_population(evaluator, children)?);
+        next.extend(score_population(evaluator, &mut scratch, children)?);
         // Shuffle to avoid positional bias from elitism ordering.
         next.shuffle(&mut rng);
         scored = next;
@@ -216,6 +205,7 @@ pub fn evolve(
         placement,
         cost,
         evaluations,
+        thermal_solves: scratch.memo_misses(),
     })
 }
 
@@ -253,9 +243,8 @@ mod tests {
 
     #[test]
     fn ga_is_deterministic_for_a_fixed_seed() {
-        // Parallel population evaluation must not leak thread-count
-        // nondeterminism into the result: scoring is pure and the RNG stream
-        // is consumed serially, so repeated runs agree to the bit.
+        // Scoring draws no randomness and the shared scratch's memo returns
+        // exact values, so repeated runs agree to the bit.
         let eval = evaluator(CostWeights::thermal_aware());
         let a = evolve(&eval, quick_config()).unwrap();
         let b = evolve(&eval, quick_config()).unwrap();
@@ -263,6 +252,18 @@ mod tests {
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.expression, b.expression);
         assert_eq!(a.evaluations, b.evaluations);
+    }
+
+    #[test]
+    fn ga_reports_its_thermal_solves() {
+        // Memo hits cost no solve, so solves never exceed evaluations; an
+        // area-only objective never reaches the thermal model at all.
+        let thermal = testutil::evaluator(8, 7, CostWeights::thermal_aware()).unwrap();
+        let result = evolve(&thermal, quick_config()).unwrap();
+        assert!(result.thermal_solves > 0);
+        assert!(result.thermal_solves <= result.evaluations as u64);
+        let area = testutil::evaluator(8, 7, CostWeights::area_only()).unwrap();
+        assert_eq!(evolve(&area, quick_config()).unwrap().thermal_solves, 0);
     }
 
     #[test]
